@@ -1,32 +1,21 @@
-// Discrete-event simulation engine, sharded.
+// Discrete-event simulation engine: one 4-ary min-heap, one pop-min loop.
 //
-// The queue is split into S lanes, each owning a 4-ary min-heap of events.
 // Every event belongs to a *domain* (0 = the control plane, otherwise an
-// AS number); a domain always maps to the same lane, so all state owned by
-// one domain is mutated by exactly one thread. Lanes execute windows of
-// [W, W + lookahead) concurrently, where the lookahead is half the
-// smallest configured link latency floor — the classic conservative
-// (null-message-free) barrier: no event can schedule work on another
-// domain closer than the lookahead, so a window's lanes are independent.
+// AS number). Domains decide which forwarding state an event may touch
+// (SimulatedNetwork's per-domain RNG streams, drop tallies, ICMP windows
+// and middlebox state), and crossing from one domain to another costs at
+// least the lookahead: half the smallest configured link latency floor.
 //
 // Determinism contract (docs/SIMNET.md): events are totally ordered by
 // (time, id) where ids encode the scheduling context — the i-th event
 // scheduled while executing event E gets id (mix64(E.id) << 20) | i,
-// and events scheduled outside any event (the main thread seeding a
-// scenario) get ordered root ids (seq << 20), so equal-time events from
-// one context fire in scheduling order. Ids therefore do not depend on the shard count or on which
-// thread pushed the event first, and per-domain execution order — the
-// only order observable through simulated state — is bit-identical at any
-// shard count, including shards=1, which runs a plain pop-min loop with
-// no threads at all.
+// and events scheduled outside any event (the caller seeding a scenario)
+// get ordered root ids (seq << 20), so equal-time events from one context
+// fire in scheduling order.
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
-#include <memory>
-#include <mutex>
-#include <thread>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -34,7 +23,8 @@
 
 namespace debuglet::simnet {
 
-/// The simulation clock and event dispatcher.
+/// The simulation clock and event dispatcher. Single-threaded: schedule
+/// and run from one thread.
 class EventQueue {
  public:
   using Callback = std::function<void()>;
@@ -43,21 +33,22 @@ class EventQueue {
   using RawFn = void (*)(void*);
 
   /// The domain of the control plane (executors, chain, marketplace, the
-  /// main thread) and of any event that never declared one.
+  /// caller between runs) and of any event that never declared one.
   static constexpr std::uint32_t kControlDomain = 0;
 
   EventQueue();
-  ~EventQueue();
   EventQueue(const EventQueue&) = delete;
   EventQueue& operator=(const EventQueue&) = delete;
 
-  /// Current virtual time: the executing event's timestamp on a dispatch
-  /// thread, the global clock (end of the last run) elsewhere.
-  SimTime now() const;
+  /// Current virtual time: the executing event's timestamp during
+  /// dispatch, the end of the last run elsewhere.
+  SimTime now() const { return ctx_.active ? ctx_.now : global_now_; }
 
   /// The domain of the currently executing event (kControlDomain outside
   /// dispatch). New events inherit it unless scheduled with schedule_on.
-  std::uint32_t current_domain() const;
+  std::uint32_t current_domain() const {
+    return ctx_.active ? ctx_.domain : kControlDomain;
+  }
 
   /// Schedules `fn` at absolute time `at` (clamped to now()) on the
   /// current domain.
@@ -67,21 +58,12 @@ class EventQueue {
   void schedule_after(SimDuration delay, Callback fn);
 
   /// Schedules `fn` at `at` on an explicit domain. Cross-domain schedules
-  /// are clamped to now() + lookahead at EVERY shard count — the clamp is
-  /// part of the simulation semantics, not a sharding artifact, which is
-  /// what keeps traces identical when the shard count changes.
+  /// are clamped to now() + lookahead().
   void schedule_on(std::uint32_t domain, SimTime at, Callback fn);
 
   /// schedule_on without the std::function allocation; `fn(arg)` runs at
   /// `at`. The caller keeps ownership of whatever `arg` points at.
   void schedule_raw_on(std::uint32_t domain, SimTime at, RawFn fn, void* arg);
-
-  /// Repartitions the queue into `count` lanes (clamped to >= 1). Safe to
-  /// call between runs; pending events are re-dealt to their domains'
-  /// new lanes. Worker threads (count - 1 of them) start lazily at the
-  /// first sharded run.
-  void set_shards(std::size_t count);
-  std::size_t shards() const { return lanes_.size(); }
 
   /// Registers a lower bound on some link's latency; the lookahead is
   /// half the smallest registered floor. Links report their floor when
@@ -97,8 +79,8 @@ class EventQueue {
   /// if the queue drained earlier. Returns events processed.
   std::size_t run_until(SimTime deadline);
 
-  bool empty() const { return pending() == 0; }
-  std::size_t pending() const;
+  bool empty() const { return heap_.empty(); }
+  std::size_t pending() const { return heap_.size(); }
 
  private:
   struct Event {
@@ -110,43 +92,24 @@ class EventQueue {
     Callback fn;
   };
 
-  /// One shard: a heap the owning thread pops from and a mutex-guarded
-  /// inbox other lanes push cross-domain events through. The inbox is
-  /// drained into the heap at the window barrier, on the main thread.
-  struct Lane {
-    std::vector<Event> heap;
-    std::mutex inbox_mu;
-    std::vector<Event> inbox;
-    std::size_t processed = 0;
-    SimTime last_at = 0;
+  /// The executing event, while a run is dispatching (`active`).
+  struct Context {
+    bool active = false;
+    SimTime now = 0;
+    std::uint32_t domain = kControlDomain;
+    std::uint64_t event_id = 0;
+    std::uint64_t children = 0;
   };
 
-  std::size_t lane_of(std::uint32_t domain) const;
   void enqueue(std::uint32_t domain, SimTime at, Event ev);
-  void dispatch_single_lane(Event ev);
-  std::size_t run_single_lane(SimTime deadline, bool until_empty);
-  std::size_t run_sharded(SimTime deadline, bool until_empty);
-  void run_lane_window(std::size_t lane_index, SimTime horizon);
-  void ensure_workers();
-  void stop_workers();
-  void worker_main(std::size_t lane_index);
+  void dispatch(Event ev);
+  std::size_t run_loop(SimTime deadline, bool until_empty);
 
-  std::vector<std::unique_ptr<Lane>> lanes_;
+  std::vector<Event> heap_;
+  Context ctx_;
   SimTime global_now_ = 0;
   std::uint64_t root_seq_ = 0;
   SimDuration min_link_floor_ = 0;  // 0 = none registered yet
-
-  // Window barrier (only touched when shards() > 1). Workers sleep until
-  // window_gen_ changes, run their lane up to window_horizon_, then
-  // report done; the main thread runs lane 0 itself.
-  std::vector<std::thread> workers_;
-  std::mutex barrier_mu_;
-  std::condition_variable window_start_cv_;
-  std::condition_variable window_done_cv_;
-  std::uint64_t window_gen_ = 0;
-  SimTime window_horizon_ = 0;
-  std::size_t workers_done_ = 0;
-  bool stopping_ = false;
 
   // Cached at construction from the active obs registry; the registry owns
   // them and record operations no-op while observability is disabled.

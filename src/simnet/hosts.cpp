@@ -69,8 +69,8 @@ void ProbeClientHost::send_round(std::uint64_t round) {
   for (net::Protocol protocol : config_.protocols)
     send_probe(protocol, round);
   // Self-timers are homed on the host's own domain so every mutation of
-  // report_/outstanding_ — timer sends and deliveries alike — runs on the
-  // one event-queue lane that owns this host.
+  // report_/outstanding_ — timer sends and deliveries alike — runs as an
+  // event of this host's domain.
   network_.queue().schedule_on(
       network_.domain_of(address_), network_.now() + config_.interval,
       [this, round] { send_round(round + 1); });
@@ -176,7 +176,7 @@ void TracerouteProber::start() {
     report_.hops[ttl - 1].ttl = ttl;
   // Schedule the whole probe train up front; replies arrive as they may.
   // Probe events are homed on the prober's domain so sends and deliveries
-  // mutate report_/outstanding_ from a single event-queue lane.
+  // mutate report_/outstanding_ from events of a single domain.
   const SimTime base = network_.now();
   SimDuration offset = 0;
   for (std::uint8_t ttl = 1; ttl <= config_.max_ttl; ++ttl) {

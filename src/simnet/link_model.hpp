@@ -36,7 +36,8 @@ namespace debuglet::simnet {
 /// One parallel route (ECMP/LAG member) within a link.
 struct RouteSpec {
   double offset_ms = 0.0;    // latency relative to the link's propagation
-  double jitter_ms = 0.0;    // gaussian jitter stddev (truncated at 0)
+  double jitter_ms = 0.0;    // N(0, σ) jitter stddev; symmetric, so a copy
+                             // can beat propagation down to floor_ms()
   double loss_pm = 0.0;      // base loss, per mille
 };
 
@@ -172,7 +173,7 @@ class LinkModel {
   /// Hard lower bound on this direction's delay, in milliseconds: half
   /// the propagation time, at least 1 µs. traverse() never returns a
   /// copy faster than this even when negative route offsets and jitter
-  /// conspire (it used to clamp at zero); the event queue's cross-shard
+  /// conspire (it used to clamp at zero); the event queue's cross-domain
   /// lookahead is derived from the smallest floor of any configured link
   /// (docs/SIMNET.md). Calibrated scenarios sit far above their floors,
   /// so the clamp never binds in practice.

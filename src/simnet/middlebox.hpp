@@ -35,11 +35,11 @@
 //
 // Determinism contract: classification is a pure function of the packet;
 // every stochastic policy choice draws from the owning domain's middlebox
-// RNG stream (forked from the scenario seed), in that lane's event order —
-// equal-seed runs discriminate identically at any shard count, and an AS
-// without a middlebox draws nothing. Learning and flow tracking are pure
-// counting (zero RNG draws) over lane-owned state, so the adaptive mode is
-// shard-invariant too and inert plans stay bit-identical to before.
+// RNG stream (forked from the scenario seed), in that domain's event order —
+// equal-seed runs discriminate identically, and an AS without a middlebox
+// draws nothing. Learning and flow tracking are pure counting (zero RNG
+// draws) over domain-owned state, so the adaptive mode is deterministic
+// too and inert plans stay bit-identical to before.
 #pragma once
 
 #include <array>
@@ -206,7 +206,7 @@ struct FlowState {
 /// Per-domain middlebox bookkeeping: throttle windows, and — in adaptive
 /// mode — the signature frequency table, the flow table, and per-source
 /// pacing anchors. Owned by the domain's DomainState, touched only by its
-/// lane; ordered maps keep every sweep and eviction deterministic.
+/// events; ordered maps keep every sweep and eviction deterministic.
 struct MiddleboxRuntime {
   std::int64_t window_second = -1;
   std::array<std::uint32_t, kTrafficClassCount> sent_in_window{};

@@ -6,25 +6,22 @@
 // parsed packets come out at the destination host after the accumulated
 // per-link treatment — or never, if any link dropped the packet.
 //
-// Sharding model (docs/SIMNET.md): every piece of mutable simulation state
+// Domain model (docs/SIMNET.md): every piece of mutable simulation state
 // belongs to a DOMAIN — an AS number for data-plane state (link models,
 // transit RNGs, hosts living at 10.x.y.200+ addresses) or the control
 // domain for everything else (executors at border-interface addresses, the
-// chain, the main thread). A packet is forwarded hop by hop: each link
-// crossing is its own event, homed on the ingress AS's domain, so a
-// domain's links, RNG streams and counters are only ever touched by the
-// one event-queue lane that owns the domain. That is what lets the event
-// queue run lanes in parallel without locks on the forwarding path, and —
-// because all randomness is drawn from per-domain streams in per-domain
-// event order — what keeps traces bit-identical at any shard count.
+// chain, the caller between runs). A packet is forwarded hop by hop: each
+// link crossing is its own event, homed on the ingress AS's domain, so a
+// domain's links, RNG streams and counters are only ever touched by events
+// of that domain. All randomness is drawn from per-domain streams in
+// per-domain event order, which is what makes a trace a pure function of
+// the scenario seed.
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <functional>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 
@@ -53,9 +50,9 @@ struct Delivery {
 class Host {
  public:
   virtual ~Host() = default;
-  /// Called when a packet addressed to this host arrives. Runs on the
-  /// event-queue lane owning the host's domain; hosts that share state
-  /// with events on other domains must bounce through schedule_on.
+  /// Called when a packet addressed to this host arrives. Runs as an
+  /// event of the host's domain; hosts that share state with events on
+  /// other domains must bounce through schedule_on.
   virtual void on_packet(const Delivery& delivery) = 0;
 };
 
@@ -94,9 +91,9 @@ struct NetworkStats {
 };
 
 /// The simulator. Construction order: build the Topology, create the
-/// network, configure links and transit, attach hosts, then send. All
-/// configuration APIs are main-thread-only (between runs); send() and the
-/// forwarding pipeline are safe from any event-queue lane.
+/// network, configure links and transit, attach hosts, then send.
+/// Configuration APIs are for use between runs; send() may be called from
+/// any event.
 class SimulatedNetwork {
  public:
   SimulatedNetwork(EventQueue& queue, topology::Topology topology,
@@ -109,7 +106,7 @@ class SimulatedNetwork {
 
   /// Configures one direction of an inter-domain link (from -> to). Both
   /// keys must be the two ends of an existing link. Registers the link's
-  /// latency floor with the event queue (the cross-shard lookahead).
+  /// latency floor with the event queue (the cross-domain lookahead).
   Status configure_link(topology::InterfaceKey from, topology::InterfaceKey to,
                         LinkConfig config);
 
@@ -191,8 +188,8 @@ class SimulatedNetwork {
   /// per-class policy (drop / deprioritize / throttle / mangle), with
   /// fault-hiding exemptions for recognized traffic. Composable with host
   /// and link fault plans; deterministic under the scenario seed (the
-  /// plan's draws come from the owning domain's middlebox RNG stream) and
-  /// shard-invariant. Main-thread-only, between runs.
+  /// plan's draws come from the owning domain's middlebox RNG stream).
+  /// Call between runs.
   Status install_middlebox(topology::AsNumber asn, MiddleboxPlan plan);
   void clear_middlebox(topology::AsNumber asn);
 
@@ -216,7 +213,7 @@ class SimulatedNetwork {
   /// the hop-program flag (paper §VI-G's every-router placement,
   /// TPP-style). Validation and translation happen here, once; each
   /// domain lazily clones its own runtime (the DVM instance is stateful
-  /// during a run), so hop executions stay lock-free under sharding.
+  /// during a run).
   Status install_hop_program(vm::Module module,
                              telemetry::HopProgramLimits limits = {});
   void clear_hop_program();
@@ -226,7 +223,7 @@ class SimulatedNetwork {
   Result<double> expected_path_delay_ms(const topology::AsPath& path,
                                         net::Protocol protocol) const;
 
-  /// Snapshot of the per-protocol counters (atomics; safe any time).
+  /// Snapshot of the per-protocol counters.
   NetworkStats stats() const;
   void reset_stats();
 
@@ -234,10 +231,9 @@ class SimulatedNetwork {
   LinkModel* link_model(topology::InterfaceKey from, topology::InterfaceKey to);
 
  private:
-  /// Mutable state owned by one domain (one AS, or the control plane) and
-  /// therefore by exactly one event-queue lane. All forwarding-path
-  /// randomness that is not a link's own stream draws from here, in the
-  /// owning lane's event order — the shard-count-invariance anchor.
+  /// Mutable state owned by one domain (one AS, or the control plane).
+  /// All forwarding-path randomness that is not a link's own stream draws
+  /// from here, in the domain's event order.
   struct DomainState;
   /// One in-flight copy of a frame, moved hop by hop through raw events.
   struct FlightCopy;
@@ -357,17 +353,15 @@ class SimulatedNetwork {
   std::map<std::pair<topology::AsNumber, topology::AsNumber>,
            std::shared_ptr<const topology::AsPath>>
       pinned_paths_;
-  // Resolved-path cache: filled from any lane mid-run (send() resolves on
-  // the sender's domain), hence the mutex. Contents are a pure function of
-  // the topology, so cache state never affects simulation results.
-  mutable std::mutex path_mu_;
+  // Resolved-path cache, filled lazily by send(). Contents are a pure
+  // function of the topology, so cache state never affects results.
   mutable std::map<std::pair<topology::AsNumber, topology::AsNumber>,
                    std::shared_ptr<const topology::AsPath>>
       path_cache_;
 
-  std::array<std::atomic<std::uint64_t>, 4> sent_{};
-  std::array<std::atomic<std::uint64_t>, 4> delivered_{};
-  std::array<std::atomic<std::uint64_t>, 4> dropped_{};
+  std::array<std::uint64_t, 4> sent_{};
+  std::array<std::uint64_t, 4> delivered_{};
+  std::array<std::uint64_t, 4> dropped_{};
 
   std::unique_ptr<FlightPool> flights_;
 
@@ -391,7 +385,7 @@ class SimulatedNetwork {
   bool int_enabled_ = false;
   // The validated hop program, kept as a module so each domain can clone
   // its own runtime on first use (HopProgramRuntime mutates its DVM
-  // instance per run and must not be shared across lanes).
+  // instance per run, so domains cannot share one).
   std::optional<vm::Module> hop_module_;
   telemetry::HopProgramLimits hop_limits_;
 };

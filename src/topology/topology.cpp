@@ -124,11 +124,43 @@ Result<InterfaceKey> Topology::key_of(net::Ipv4Address address) const {
 }
 
 Result<AsPath> Topology::shortest_path(AsNumber src, AsNumber dst) const {
-  auto paths = find_paths(src, dst, 1);
-  if (paths.empty())
+  auto no_path = [&] {
     return fail("no path from AS" + std::to_string(src) + " to AS" +
                 std::to_string(dst));
-  return paths.front();
+  };
+  if (!ases_.contains(src) || !ases_.contains(dst)) return no_path();
+  if (src == dst) return AsPath{{PathHop{src, 0, 0}}};
+
+  // Breadth-first from dst until src is reached: every AS closer to dst
+  // than src then carries its exact hop distance to dst.
+  std::map<AsNumber, std::size_t> distance{{dst, 0}};
+  std::deque<AsNumber> frontier{dst};
+  while (!frontier.empty() && !distance.contains(src)) {
+    const AsNumber asn = frontier.front();
+    frontier.pop_front();
+    const std::size_t next = distance.at(asn) + 1;
+    for (const auto& [intf, remote] : ases_.at(asn).links) {
+      if (distance.emplace(remote.asn, next).second)
+        frontier.push_back(remote.asn);
+    }
+  }
+  const auto found = distance.find(src);
+  if (found == distance.end()) return no_path();
+
+  // Walk from src, leaving each AS by its first link (in interface order)
+  // that steps one hop closer to dst: the lexicographically first
+  // shortest path, the same one find_paths enumerates first.
+  AsPath path{{PathHop{src, 0, 0}}};
+  for (std::size_t remaining = found->second; remaining-- > 0;) {
+    for (const auto& [egress, remote] : ases_.at(path.hops.back().asn).links) {
+      const auto it = distance.find(remote.asn);
+      if (it == distance.end() || it->second != remaining) continue;
+      path.hops.back().egress = egress;
+      path.hops.push_back(PathHop{remote.asn, remote.interface, 0});
+      break;
+    }
+  }
+  return path;
 }
 
 std::vector<AsPath> Topology::find_paths(AsNumber src, AsNumber dst,

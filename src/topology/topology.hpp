@@ -98,12 +98,15 @@ class Topology {
   /// Reverse lookup of address_of. Fails for unknown addresses.
   Result<InterfaceKey> key_of(net::Ipv4Address address) const;
 
-  /// Shortest path (fewest ASes) from src to dst, interface-granular.
-  /// Ties break deterministically by AS number. Fails if disconnected.
+  /// Shortest path (fewest ASes) from src to dst, interface-granular, of
+  /// any length. Ties break deterministically: each AS is left by its
+  /// lowest-numbered interface that starts a shortest path (the first
+  /// path find_paths enumerates). Fails if either AS is unknown or the
+  /// two are disconnected.
   Result<AsPath> shortest_path(AsNumber src, AsNumber dst) const;
 
-  /// Up to `limit` distinct simple paths, shortest first (by hop count,
-  /// then lexicographic AS order).
+  /// Up to `limit` distinct simple paths of at most `max_hops` ASes,
+  /// shortest first (by hop count, then by egress interface order).
   std::vector<AsPath> find_paths(AsNumber src, AsNumber dst,
                                  std::size_t limit,
                                  std::size_t max_hops = 16) const;

@@ -308,7 +308,7 @@ TEST(AdaptiveDeterminism, LearnerDrawsNothingFromTheRng) {
     apply_middlebox(plan, twin(51000, 40021, payload),
                     duration::milliseconds(50) * i, rng, runtime, stats);
   EXPECT_GT(stats.signatures_promoted, 0u);
-  // The shard-invariance contract: learning, promotion and flow tracking
+  // The determinism contract: learning, promotion and flow tracking
   // consumed zero draws — the stream is exactly where a fresh one starts.
   EXPECT_EQ(rng.next_u64(), Rng(77).next_u64());
 }

@@ -1,13 +1,12 @@
-// Sharded event-queue contracts: cross-shard ordering at equal
-// timestamps, barrier progress for shards with no local work, and the
-// bit-exact shard-count-invariance property on a real scenario under
-// faults. Doubles as the TSan stress target for the worker-thread
-// barrier (CI runs it under -fsanitize=thread).
+// Per-domain contracts of the event queue: the (time, id) order at equal
+// timestamps across domains and within one context, the cross-domain
+// lookahead clamp, and bit-exact repeat runs of real ring scenarios under
+// host faults, wire faults and adversarial middleboxes. Domains are the
+// per-AS units whose RNG streams and tallies decide every trace.
 #include <gtest/gtest.h>
 
-#include <map>
+#include <cstdio>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -20,79 +19,89 @@ namespace {
 
 using net::Protocol;
 
-// Two domains, events at identical timestamps: the merged order must be
-// the (time, id) total order — i.e. independent of which lane popped
-// first — so any shard count produces the same interleaving. Events on
-// one domain record into that domain's slot only (single-writer per
-// lane); the cross-shard claim is that the per-domain sequences and the
-// final clock agree with the single-lane run.
-TEST(ShardedQueue, EqualTimestampCrossShardOrderIsShardInvariant) {
-  auto run = [](std::size_t shards) {
-    EventQueue q;
-    q.set_shards(shards);
-    // Domains 1 and 2 are distinct lanes at shards >= 3.
-    std::vector<int> d1, d2;
-    std::mutex mu;  // harmless under shards=1; required under threads
-    for (int i = 0; i < 8; ++i) {
-      q.schedule_on(1, 50, [&, i] {
-        std::lock_guard<std::mutex> lock(mu);
-        d1.push_back(i);
-      });
-      q.schedule_on(2, 50, [&, i] {
-        std::lock_guard<std::mutex> lock(mu);
-        d2.push_back(i);
-      });
-    }
-    q.run();
-    return std::make_pair(d1, d2);
-  };
-  const auto baseline = run(1);
-  for (std::size_t shards : {2u, 3u, 4u}) {
-    const auto sharded = run(shards);
-    EXPECT_EQ(sharded.first, baseline.first) << "shards=" << shards;
-    EXPECT_EQ(sharded.second, baseline.second) << "shards=" << shards;
-  }
-  // Root-scheduled equal-time events fire in scheduling order per domain.
-  EXPECT_EQ(baseline.first, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7}));
-}
-
-// A shard whose domain has no events of its own must still advance
-// through the window barrier: domain 1 keeps scheduling onto itself far
-// into the future while domain 2 waits for one late event. If the empty
-// lane could stall the barrier (or the busy lane could run ahead of it),
-// the late event would fire at the wrong time or never.
-TEST(ShardedQueue, EmptyShardStillAdvancesThroughBarrier) {
+// Equal-time events follow the (time, id) order: root-scheduled events
+// fire in scheduling order whatever their domain, and the children of
+// one event fire in the order that event scheduled them.
+TEST(EventQueue, EqualTimeOrderAcrossDomainsAndWithinContext) {
   EventQueue q;
-  q.set_shards(4);
-  q.note_link_floor(duration::milliseconds(1));
-  int busy_fired = 0;
-  bool late_fired = false;
-  std::function<void(int)> chain = [&](int depth) {
-    ++busy_fired;
-    if (depth > 0)
-      q.schedule_after(duration::milliseconds(2),
-                       [&chain, depth] { chain(depth - 1); });
-  };
-  q.schedule_on(1, duration::milliseconds(1), [&] { chain(500); });
-  const SimTime late_at = duration::milliseconds(900);
-  q.schedule_on(2, late_at, [&] {
-    late_fired = true;
-    EXPECT_EQ(q.now(), late_at);
+  std::vector<std::string> order;
+  for (int i = 0; i < 4; ++i) {
+    q.schedule_on(1, 50, [&, i] {
+      EXPECT_EQ(q.current_domain(), 1u);
+      order.push_back("d1." + std::to_string(i));
+    });
+    q.schedule_on(2, 50, [&, i] {
+      EXPECT_EQ(q.current_domain(), 2u);
+      order.push_back("d2." + std::to_string(i));
+    });
+  }
+  q.schedule_on(3, 60, [&] {
+    for (int i = 0; i < 4; ++i)
+      q.schedule_at(60, [&, i] { order.push_back("c" + std::to_string(i)); });
   });
+  EXPECT_EQ(q.current_domain(), EventQueue::kControlDomain);
   q.run();
-  EXPECT_EQ(busy_fired, 501);
-  EXPECT_TRUE(late_fired);
+  EXPECT_EQ(order, (std::vector<std::string>{"d1.0", "d2.0", "d1.1", "d2.1",
+                                             "d1.2", "d2.2", "d1.3", "d2.3",
+                                             "c0", "c1", "c2", "c3"}));
 }
 
-/// One deterministic "trace" of a faulted ring scenario: per-client
-/// received counts and the exact RTT sample streams, formatted so a
-/// mismatch prints usefully.
-std::string faulted_ring_trace(std::size_t shards) {
-  Scenario s = build_internet_scenario(24, 11, 4.0);
-  s.queue->set_shards(shards);
+// Crossing into another domain costs at least the lookahead (half the
+// smallest registered link floor); staying on the same domain does not.
+TEST(EventQueue, CrossDomainScheduleClampsToLookahead) {
+  EventQueue q;
+  EXPECT_EQ(q.lookahead(), 1);  // no link floor registered yet
+  q.note_link_floor(duration::milliseconds(10));
+  q.note_link_floor(duration::milliseconds(30));  // only the smallest counts
+  q.note_link_floor(0);                           // ignored
+  ASSERT_EQ(q.lookahead(), duration::milliseconds(5));
 
-  // A host fault window on one server and a lossy/duplicating wire on one
-  // ring link: the property must hold under chaos, not just clean runs.
+  SimTime same = -1, cross = -1, from_control = -1, root_cross = -1;
+  const SimTime t0 = duration::milliseconds(100);
+  q.schedule_on(0, 0, [&] { from_control = q.now(); });
+  q.schedule_on(1, t0, [&] {
+    q.schedule_on(1, q.now(), [&] { same = q.now(); });
+    q.schedule_on(2, q.now() + duration::milliseconds(1),
+                  [&] { cross = q.now(); });
+  });
+  // Scheduling from outside dispatch starts on the control domain, so
+  // this is a crossing too.
+  q.schedule_on(4, 0, [&] { root_cross = q.now(); });
+  q.run();
+  EXPECT_EQ(from_control, 0);
+  EXPECT_EQ(root_cross, duration::milliseconds(5));
+  EXPECT_EQ(same, t0);
+  EXPECT_EQ(cross, t0 + duration::milliseconds(5));
+}
+
+/// Appends every client's receive counts and exact RTT sample streams.
+void append_client_trace(
+    std::string& trace,
+    const std::vector<std::unique_ptr<ProbeClientHost>>& clients) {
+  for (std::size_t i = 0; i < clients.size(); ++i) {
+    const ProbeReport& r = clients[i]->report();
+    trace += "client " + std::to_string(i) + ":";
+    for (const auto& [protocol, n] : r.received)
+      trace += " recv=" + std::to_string(n);
+    for (const auto& [protocol, set] : r.rtt_ms) {
+      trace += " [";
+      for (double sample : set.samples()) {
+        char buf[32];
+        std::snprintf(buf, sizeof buf, "%.17g,", sample);
+        trace += buf;
+      }
+      trace += "]";
+    }
+    trace += "\n";
+  }
+}
+
+/// One deterministic trace of a faulted ring scenario: a host fault
+/// window on one server path and a corrupting, duplicating wire on one
+/// ring link, under probe traffic from six clients.
+std::string faulted_ring_trace() {
+  Scenario s = build_internet_scenario(24, 11, 4.0);
+
   FaultSpec fault;
   fault.extra_delay_ms = 40.0;
   fault.start = duration::milliseconds(300);
@@ -129,38 +138,15 @@ std::string faulted_ring_trace(std::size_t shards) {
   s.queue->run();
 
   std::string trace;
-  for (std::size_t i = 0; i < clients.size(); ++i) {
-    const ProbeReport& r = clients[i]->report();
-    trace += "client " + std::to_string(i) + ":";
-    for (const auto& [protocol, n] : r.received)
-      trace += " recv=" + std::to_string(n);
-    for (const auto& [protocol, set] : r.rtt_ms) {
-      trace += " [";
-      for (double sample : set.samples()) {
-        char buf[32];
-        std::snprintf(buf, sizeof buf, "%.17g,", sample);
-        trace += buf;
-      }
-      trace += "]";
-    }
-    trace += "\n";
-  }
+  append_client_trace(trace, clients);
   trace += "drained at " + std::to_string(s.queue->now());
   return trace;
 }
 
-// The headline property: a faulted multi-host scenario produces a
-// bit-identical observable trace at every shard count, and repeated runs
-// at the same (threaded) shard count never diverge.
-TEST(ShardedQueue, FaultedScenarioTraceIsShardCountInvariant) {
-  const std::string baseline = faulted_ring_trace(1);
-  for (std::size_t shards : {2u, 4u})
-    EXPECT_EQ(faulted_ring_trace(shards), baseline) << "shards=" << shards;
-}
-
-TEST(ShardedQueue, RepeatedThreadedRunsAreIdentical) {
-  const std::string first = faulted_ring_trace(4);
-  for (int rep = 0; rep < 3; ++rep) EXPECT_EQ(faulted_ring_trace(4), first);
+TEST(Determinism, FaultedRingTraceRepeats) {
+  const std::string first = faulted_ring_trace();
+  EXPECT_NE(first.find("recv="), std::string::npos);
+  for (int rep = 0; rep < 2; ++rep) EXPECT_EQ(faulted_ring_trace(), first);
 }
 
 /// Sink for the data-class flows below: records arrival order, times and
@@ -189,10 +175,9 @@ class RecordingSinkHost : public Host {
 /// box on another, measurement-class probe rounds AND data-class flows
 /// (high-entropy payloads) crossing both. The per-copy middlebox RNG
 /// draws, extra queueing delays, mangle damage and ground-truth stats
-/// must all be independent of the shard count.
-std::string middlebox_ring_trace(std::size_t shards) {
+/// all land in the trace.
+std::string middlebox_ring_trace() {
   Scenario s = build_internet_scenario(24, 19, 4.0);
-  s.queue->set_shards(shards);
 
   ClassPolicy chaos;
   chaos.drop_pm = 80.0;
@@ -267,22 +252,7 @@ std::string middlebox_ring_trace(std::size_t shards) {
   s.queue->run();
 
   std::string trace;
-  for (std::size_t i = 0; i < clients.size(); ++i) {
-    const ProbeReport& r = clients[i]->report();
-    trace += "client " + std::to_string(i) + ":";
-    for (const auto& [protocol, n] : r.received)
-      trace += " recv=" + std::to_string(n);
-    for (const auto& [protocol, set] : r.rtt_ms) {
-      trace += " [";
-      for (double sample : set.samples()) {
-        char buf[32];
-        std::snprintf(buf, sizeof buf, "%.17g,", sample);
-        trace += buf;
-      }
-      trace += "]";
-    }
-    trace += "\n";
-  }
+  append_client_trace(trace, clients);
   for (std::size_t f = 0; f < sinks.size(); ++f)
     trace += "flow " + std::to_string(f) + ":" + sinks[f]->log() + "\n";
   for (topology::AsNumber asn : {3u, 10u}) {
@@ -298,16 +268,12 @@ std::string middlebox_ring_trace(std::size_t shards) {
   return trace;
 }
 
-// The same invariance contract for the adversarial-middlebox layer: DPI
-// classification, policy dice, hiding exemptions and mangle damage are
-// bit-identical at every shard count.
-TEST(ShardedQueue, MiddleboxScenarioTraceIsShardCountInvariant) {
-  const std::string baseline = middlebox_ring_trace(1);
+TEST(Determinism, MiddleboxRingTraceRepeats) {
+  const std::string first = middlebox_ring_trace();
   // The boxes saw traffic at all (otherwise this test proves nothing).
-  EXPECT_NE(baseline.find("mb AS3"), std::string::npos);
-  EXPECT_EQ(baseline.find("mb AS3: 0/"), std::string::npos);
-  for (std::size_t shards : {2u, 4u})
-    EXPECT_EQ(middlebox_ring_trace(shards), baseline) << "shards=" << shards;
+  EXPECT_NE(first.find("mb AS3"), std::string::npos);
+  EXPECT_EQ(first.find("mb AS3: 0/"), std::string::npos);
+  EXPECT_EQ(middlebox_ring_trace(), first);
 }
 
 }  // namespace

@@ -524,5 +524,30 @@ TEST(CityScenario, PaperRowsExposed) {
   EXPECT_THROW(city_as("Atlantis"), std::invalid_argument);
 }
 
+// --- Long paths ---------------------------------------------------------------
+
+// A probe pair 16 hops apart on the 1000-AS ring: one hop past the
+// 16-AS enumeration cap the path resolver used to inherit.
+TEST(Network, ProbePairSixteenHopsApartOnRingIsAnswered) {
+  Scenario s = build_internet_scenario(1000, 3, 5.0);
+  const auto server_addr = s.network->allocate_host_address(17);
+  EchoServerHost server(*s.network, server_addr);
+  ASSERT_TRUE(s.network->attach_host(server_addr, &server).ok());
+  const auto client_addr = s.network->allocate_host_address(1);
+  ProbeClientConfig cfg;
+  cfg.server = server_addr;
+  cfg.probe_count = 10;
+  cfg.interval = duration::milliseconds(100);
+  cfg.protocols = {Protocol::kUdp};
+  ProbeClientHost client(*s.network, client_addr, cfg, 5);
+  ASSERT_TRUE(s.network->attach_host(client_addr, &client).ok());
+  client.start();
+  s.queue->run();
+  EXPECT_EQ(client.report().sent.at(Protocol::kUdp), 10u);
+  EXPECT_EQ(client.report().received.at(Protocol::kUdp), 10u);
+  // 32 link crossings of 5 ms each, round trip.
+  EXPECT_GT(client.report().rtt_ms.at(Protocol::kUdp).mean(), 159.0);
+}
+
 }  // namespace
 }  // namespace debuglet::simnet

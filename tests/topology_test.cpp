@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
+
 #include "topology/topology.hpp"
+#include "util/rng.hpp"
 
 namespace debuglet::topology {
 namespace {
@@ -129,6 +133,123 @@ TEST(Topology, FindPathsRespectsLimitAndMaxHops) {
   EXPECT_EQ(t.find_paths(1, 6, 10).size(), 1u);
   EXPECT_TRUE(t.find_paths(1, 6, 10, 3).empty()) << "path needs 6 hops";
   EXPECT_TRUE(t.find_paths(1, 6, 0).empty());
+}
+
+/// A random sparse AS graph: a long spanning tree (each AS hangs off one
+/// of its two predecessors) plus a few extra links, some parallel.
+/// Interface numbers are drawn at random so link-map order differs from
+/// AS order. A few ASes are left isolated.
+Topology random_topology(Rng& rng, AsNumber n) {
+  Topology t;
+  for (AsNumber a = 1; a <= n; ++a) EXPECT_TRUE(t.add_as(a, "").ok());
+  std::map<AsNumber, std::set<InterfaceId>> used;
+  auto fresh = [&](AsNumber a) {
+    InterfaceId id;
+    do {
+      id = static_cast<InterfaceId>(1 + rng.next_below(200));
+    } while (!used[a].insert(id).second);
+    return id;
+  };
+  auto link = [&](AsNumber a, AsNumber b) {
+    EXPECT_TRUE(t.add_link({a, fresh(a)}, {b, fresh(b)}).ok());
+  };
+  const AsNumber isolated = n - 2;  // ASes above this stay unlinked
+  for (AsNumber a = 2; a <= isolated; ++a)
+    link(a, a - 1 - static_cast<AsNumber>(rng.next_below(std::min(a - 1, 2u))));
+  for (int extra = 0; extra < 5; ++extra) {
+    const auto a = static_cast<AsNumber>(1 + rng.next_below(isolated));
+    const auto b = static_cast<AsNumber>(1 + rng.next_below(isolated));
+    if (a != b) link(a, b);
+  }
+  return t;
+}
+
+/// Every hop of `path` is joined to the next by a real link.
+bool well_formed(const Topology& t, const AsPath& path) {
+  for (std::size_t i = 0; i + 1 < path.length(); ++i) {
+    const auto [from, to] = path.link_after(i);
+    auto remote = t.remote_of(from);
+    if (!remote.ok() || *remote != to) return false;
+  }
+  return true;
+}
+
+// shortest_path agrees with the enumerator it replaced wherever the
+// enumerator's default 16-AS cap lets it answer, and keeps answering
+// beyond the cap with a well-formed path of the right length.
+TEST(Topology, ShortestPathMatchesFindPathsWithinItsCap) {
+  std::size_t compared = 0, beyond_cap = 0, disconnected = 0;
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    Rng rng(seed);
+    const AsNumber n = 48;
+    const Topology t = random_topology(rng, n);
+    for (int trial = 0; trial < 150; ++trial) {
+      // Every other pair joins the two ends of the tree, where paths are
+      // longest.
+      const bool ends = trial % 2 == 1;
+      const auto src = static_cast<AsNumber>(
+          1 + rng.next_below(ends ? 8 : n));
+      const auto dst = static_cast<AsNumber>(
+          ends ? n - 12 + rng.next_below(12) : 1 + rng.next_below(n));
+      const auto capped = t.find_paths(src, dst, 1);
+      const auto uncapped = t.find_paths(src, dst, 1, n);
+      const auto path = t.shortest_path(src, dst);
+      if (uncapped.empty()) {
+        EXPECT_FALSE(path.ok()) << src << "->" << dst;
+        ++disconnected;
+        continue;
+      }
+      ASSERT_TRUE(path.ok()) << src << "->" << dst;
+      EXPECT_EQ(*path, uncapped.front()) << src << "->" << dst;
+      if (!capped.empty()) {
+        EXPECT_EQ(*path, capped.front()) << src << "->" << dst;
+        ++compared;
+      } else {
+        EXPECT_GT(path->length(), 16u);
+        EXPECT_TRUE(well_formed(t, *path));
+        ++beyond_cap;
+      }
+    }
+  }
+  // The sample reaches all three regimes.
+  EXPECT_GT(compared, 0u);
+  EXPECT_GT(beyond_cap, 0u);
+  EXPECT_GT(disconnected, 0u);
+}
+
+/// AS1..ASn closed into a ring (interface 1 faces the previous AS, 2 the
+/// next).
+Topology make_ring(AsNumber n) {
+  Topology t = make_chain(n);
+  EXPECT_TRUE(t.add_link({n, 2}, {1, 1}).ok());
+  return t;
+}
+
+TEST(Topology, ShortestPathResolvesLongRingPaths) {
+  const Topology t = make_ring(1000);
+  // 16 links: one past find_paths's default cap.
+  EXPECT_TRUE(t.find_paths(1, 17, 1).empty());
+  auto near = t.shortest_path(1, 17);
+  ASSERT_TRUE(near.ok());
+  ASSERT_EQ(near->length(), 17u);
+  for (std::size_t i = 0; i < near->length(); ++i)
+    EXPECT_EQ(near->hops[i].asn, 1 + i);
+  EXPECT_TRUE(well_formed(t, *near));
+
+  // 500 links both ways round: the tie goes to AS1's lower interface,
+  // which faces AS1000.
+  auto far = t.shortest_path(1, 501);
+  ASSERT_TRUE(far.ok());
+  ASSERT_EQ(far->length(), 501u);
+  EXPECT_EQ(far->hops[1].asn, 1000u);
+  EXPECT_EQ(far->hops.back().asn, 501u);
+  EXPECT_TRUE(well_formed(t, *far));
+}
+
+TEST(Topology, ShortestPathUnknownAsFails) {
+  const Topology t = make_chain(3);
+  EXPECT_FALSE(t.shortest_path(1, 9).ok());
+  EXPECT_FALSE(t.shortest_path(9, 1).ok());
 }
 
 TEST(AsPath, LinkAfter) {
